@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -314,6 +317,43 @@ func TestAblationPlannerTopK(t *testing.T) {
 		if r.Score < res[0].Score-1e-9 {
 			t.Errorf("k=%d lost score: %v vs %v", r.K, r.Score, res[0].Score)
 		}
+	}
+}
+
+// TestProgressiveReportMarshalsUnknownAccuracy writes the progressive
+// report to a file: answers whose accuracy is unknown (exact answers, whose
+// MaxRelativeError is NaN) must still encode, since encoding/json rejects
+// NaN.
+func TestProgressiveReportMarshalsUnknownAccuracy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := QuickConfig()
+	cfg.BlockRows = 64
+	out := filepath.Join(t.TempDir(), "progressive.json")
+	rep, err := ProgressiveExperiment(io.Discard, cfg, out, []float64{0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unknown := 0
+	for _, r := range rep.Results {
+		if !r.Progressive {
+			unknown++
+		}
+	}
+	if unknown == 0 {
+		t.Fatal("no exact (unknown-accuracy) answer in the run; the test exercises nothing")
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ProgressiveReport
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Results) != len(rep.Results) {
+		t.Fatalf("report round-trip: %d results, want %d", len(back.Results), len(rep.Results))
 	}
 }
 

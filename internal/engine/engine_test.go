@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
+
+	"verdictdb/internal/sqlparser"
 )
 
 // testDB builds a small engine with orders and products tables.
@@ -261,6 +264,61 @@ func TestCorrelatedSubquery(t *testing.T) {
 	n := rs.Rows[0][0].(int64)
 	if n <= 0 || n >= 300 {
 		t.Fatalf("suspicious count %d", n)
+	}
+}
+
+// TestOuterRefLookupAllocFree: inside a correlated filter, the outer
+// reference misses the inner scope on every row. The env caches where each
+// reference resolved, so after the first row evaluating the predicate
+// allocates nothing — no lower-cased names, no error per inner-scope miss.
+func TestOuterRefLookupAllocFree(t *testing.T) {
+	e := testDB(t)
+	qc := e.newQueryCtx(context.Background(), "")
+	scope := func(sql string) (*sqlparser.SelectStmt, *env) {
+		t.Helper()
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*sqlparser.SelectStmt)
+		rel, err := buildFrom(qc, sel.From, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := qc.materialize(rel); err != nil {
+			t.Fatal(err)
+		}
+		return sel, &env{qc: qc, rel: rel}
+	}
+	_, outer := scope("select * from orders o")
+	outer.row = outer.rel.rows[3]
+	sel, inner := scope("select count(*) from orders i where i.product_id = o.product_id")
+	inner.outer = outer
+	rows := inner.rel.rows
+	matches := 0
+	for _, row := range rows {
+		inner.row = row
+		v, err := inner.eval(sel.Where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == true {
+			matches++
+		}
+	}
+	if matches == 0 {
+		t.Fatal("correlated filter matched no inner row; the outer row is its own match")
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(len(rows), func() {
+		inner.row = rows[i%len(rows)]
+		i++
+		if _, err := inner.eval(sel.Where); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("correlated filter allocates %.2f times per row, want 0", allocs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 
 	"verdictdb/internal/sqlparser"
 )
@@ -18,8 +19,14 @@ type relation struct {
 	names      []string // per-column name
 	rows       [][]Value
 	src        *colSource // columnar source for base-table scans, else nil
+	// spans, when set, is the row count of each chunk relSource cuts rows
+	// into (the row hash join's output chunks); nil cuts chunkRows blocks.
+	spans []int
 
-	// lazily built resolution maps
+	// Resolution maps, built once on first lookup. The Once makes the
+	// build safe when morsel workers' private envs resolve against the
+	// same relation concurrently.
+	idxOnce   sync.Once
 	qualified map[string]int // "qual.name" (lower) -> index
 	bare      map[string]int // "name" (lower) -> index; ambiguousIdx if dup
 }
@@ -44,16 +51,7 @@ func (r *relation) numRows() int {
 	return len(r.rows)
 }
 
-// materialize returns the relation's boxed rows. Columnar sources are
-// converted (and charged, and possibly read from disk) only through
-// queryCtx.materialize — by the time this is called on a source-backed
-// relation, that conversion has already happened.
-func (r *relation) materialize() [][]Value { return r.rows }
-
 func (r *relation) buildIndex() {
-	if r.bare != nil {
-		return
-	}
 	r.qualified = make(map[string]int, len(r.names))
 	r.bare = make(map[string]int, len(r.names))
 	//verdict:nocharge name index: one entry per schema column, not row-scale
@@ -70,32 +68,28 @@ func (r *relation) buildIndex() {
 	}
 }
 
-// resolve maps a column reference to a column index.
-func (r *relation) resolve(table, name string) (int, error) {
-	r.buildIndex()
+// find maps a column reference to a column index without building an
+// error: -1 when the relation has no such column, ambiguousIdx when a bare
+// name matches several columns (an error even when enclosing scopes know
+// the name, unlike absence).
+func (r *relation) find(table, name string) int {
+	r.idxOnce.Do(r.buildIndex)
 	low := strings.ToLower(name)
 	if table != "" {
 		if idx, ok := r.qualified[strings.ToLower(table)+"."+low]; ok {
-			return idx, nil
+			return idx
 		}
-		return -1, fmt.Errorf("engine: unknown column %s.%s", table, name)
+		return -1
 	}
-	idx, ok := r.bare[low]
-	if !ok {
-		return -1, fmt.Errorf("engine: unknown column %s", name)
+	if idx, ok := r.bare[low]; ok {
+		return idx
 	}
-	if idx == ambiguousIdx {
-		// Keep the sentinel in the return so callers can tell ambiguity
-		// (an error even when enclosing scopes know the name) from absence.
-		return ambiguousIdx, fmt.Errorf("%w %s", ErrAmbiguousColumn, name)
-	}
-	return idx, nil
+	return -1
 }
 
-// canResolve reports whether the reference resolves without error.
+// canResolve reports whether the reference resolves to exactly one column.
 func (r *relation) canResolve(table, name string) bool {
-	_, err := r.resolve(table, name)
-	return err == nil
+	return r.find(table, name) >= 0
 }
 
 // queryCtx carries per-query state through execution.
@@ -135,36 +129,46 @@ type env struct {
 	// query level (shared across rows via pointer).
 	subqueryCache map[*sqlparser.SelectStmt]Value
 	inSetCache    map[*sqlparser.SelectStmt]map[string]bool
+	// cols caches where each column reference resolved: how many scopes
+	// out, and the column index there. It lives on the env rather than the
+	// shared relation because morsel workers each evaluate through a
+	// private env, and an env's scope chain never changes.
+	cols map[*sqlparser.ColumnRef]colSlot
 }
 
-func (ev *env) child(rel *relation, row []Value) *env {
-	return &env{
-		qc:            ev.qc,
-		rel:           rel,
-		row:           row,
-		outer:         ev,
-		subqueryCache: ev.subqueryCache,
-		inSetCache:    ev.inSetCache,
+// colSlot is one cached column resolution: the column idx of the scope
+// depth levels out from the env that resolved it.
+type colSlot struct{ depth, idx int }
+
+// lookupColumn resolves a column in this scope or any enclosing scope,
+// caching the resolution so later rows cost one map probe and no strings or
+// errors. A name the innermost scope knows but finds ambiguous is an error —
+// it must not fall through to an enclosing scope (or to "unknown column").
+func (ev *env) lookupColumn(cr *sqlparser.ColumnRef) (Value, error) {
+	if s, ok := ev.cols[cr]; ok {
+		scope := ev
+		for d := s.depth; d > 0; d-- {
+			scope = scope.outer
+		}
+		return scope.row[s.idx], nil
 	}
-}
-
-// lookupColumn resolves a column in this scope or any enclosing scope. A
-// name the innermost scope knows but finds ambiguous is an error — it must
-// not fall through to an enclosing scope (or to "unknown column").
-func (ev *env) lookupColumn(table, name string) (Value, error) {
-	for scope := ev; scope != nil; scope = scope.outer {
+	depth := 0
+	for scope := ev; scope != nil; scope, depth = scope.outer, depth+1 {
 		if scope.rel == nil {
 			continue
 		}
-		idx, err := scope.rel.resolve(table, name)
-		if err == nil {
+		switch idx := scope.rel.find(cr.Table, cr.Name); {
+		case idx == ambiguousIdx:
+			return nil, fmt.Errorf("%w %s", ErrAmbiguousColumn, cr.Name)
+		case idx >= 0:
+			if ev.cols == nil {
+				ev.cols = make(map[*sqlparser.ColumnRef]colSlot)
+			}
+			ev.cols[cr] = colSlot{depth: depth, idx: idx} //verdict:nocharge one entry per column reference in the query text, not per row
 			return scope.row[idx], nil
 		}
-		if idx == ambiguousIdx {
-			return nil, err
-		}
 	}
-	return nil, fmt.Errorf("engine: unknown column %s", joinName(table, name))
+	return nil, fmt.Errorf("engine: unknown column %s", joinName(cr.Table, cr.Name))
 }
 
 func errCannotNegate(v Value) error {
@@ -188,7 +192,7 @@ func (ev *env) eval(e sqlparser.Expr) (Value, error) {
 	case *sqlparser.Literal:
 		return x.Val, nil
 	case *sqlparser.ColumnRef:
-		return ev.lookupColumn(x.Table, x.Name)
+		return ev.lookupColumn(x)
 	case *sqlparser.BinaryExpr:
 		return ev.evalBinary(x)
 	case *sqlparser.UnaryExpr:
@@ -655,7 +659,7 @@ func (ev *env) correlationKey(sel *sqlparser.SelectStmt) (string, bool, error) {
 	}
 	var sb strings.Builder
 	for _, cr := range refs {
-		v, err := ev.lookupColumn(cr.Table, cr.Name)
+		v, err := ev.lookupColumn(cr)
 		if err != nil {
 			return "", false, nil //nolint:nilerr // unkeyable, not fatal
 		}

@@ -261,17 +261,6 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		baseEnv.inSetCache = outer.inSetCache
 	}
 
-	// Compile the WHERE predicate once per query; uncompilable predicates
-	// (subqueries, outer references) leave wherePred nil and use the
-	// interpreted loop.
-	var wherePred compiledExpr
-	wherePure := true
-	if sel.Where != nil {
-		if fn, pure, ok := compileExpr(qc.eng, rel, sel.Where); ok {
-			wherePred, wherePure = fn, pure
-		}
-	}
-
 	// Collect aggregate and window calls from the output clauses.
 	aggCalls, winCalls := collectCalls(sel)
 	hasAgg := len(aggCalls) > 0 || len(sel.GroupBy) > 0
@@ -282,45 +271,25 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	var outColsPre []outCol // derived by the vectorized gate, reused by project
 	projDone := false
 	if hasAgg {
-		// Fused compiled scan→filter→aggregate; vectorized chunk-at-a-time
-		// over columnar sources, morsel-parallel when every expression is
-		// pure, serial otherwise. Falls back to the interpreted pipeline
-		// when anything fails to compile.
-		if plan, ok := buildScanPlan(qc, rel, sel, aggCalls, wherePred, wherePure); ok {
-			entries, err = plan.run(rel)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			mat, err := qc.materialize(rel)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := filterRows(qc, baseEnv, mat, sel.Where, wherePred, wherePure)
-			if err != nil {
-				return nil, err
-			}
-			entries, err = aggregate(baseEnv, rel, rows, sel, aggCalls)
-			if err != nil {
-				return nil, err
-			}
+		// Fused scan→filter→aggregate: chunk morsels when every expression
+		// lowers, the serial interpreter otherwise.
+		entries, err = newScanPlan(qc, rel, sel, aggCalls).run(baseEnv)
+		if err != nil {
+			return nil, err
 		}
 	} else {
-		// Non-aggregate select over a columnar source: fused vectorized
-		// filter→project when every clause supports it. ORDER BY is
-		// restricted to output aliases/positions because the vectorized
-		// pipeline never materializes the pre-projection rows the
-		// expression form would need.
-		if rel.src != nil && rel.rows == nil && !qc.eng.noVec.Load() &&
-			len(winCalls) == 0 && sel.Having == nil &&
-			(sel.Where == nil || (wherePred != nil && wherePure)) {
+		// Non-aggregate select: fused filter→project over chunk morsels when
+		// every clause lowers. ORDER BY is restricted to output
+		// aliases/positions because that pipeline never materializes the
+		// pre-projection rows the expression form would need.
+		if len(winCalls) == 0 && sel.Having == nil {
 			outCols, ocErr := deriveOutCols(rel, sel)
 			if ocErr == nil {
 				outColsPre = outCols
 			}
 			if ocErr == nil && orderByOutputsOnly(sel, outCols) {
-				if vs := buildVecSelect(qc, rel, outCols, wherePred, sel.Where); vs != nil {
-					projRows, err = vs.run(rel.src)
+				if vs := buildVecSelect(qc, rel, outCols, sel.Where); vs != nil {
+					projRows, err = vs.run(relSource(rel))
 					if err != nil {
 						return nil, err
 					}
@@ -333,11 +302,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 			}
 		}
 		if !projDone {
-			mat, merr := qc.materialize(rel)
-			if merr != nil {
-				return nil, merr
-			}
-			rows, ferr := filterRows(qc, baseEnv, mat, sel.Where, wherePred, wherePure)
+			rows, ferr := filterRows(baseEnv, rel, sel.Where)
 			if ferr != nil {
 				return nil, ferr
 			}
@@ -378,7 +343,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		}
 
 		// Projection.
-		cols, projRows, err = project(baseEnv, rel, entries, sel, hasAgg, outColsPre)
+		cols, projRows, err = project(baseEnv, rel, entries, sel, outColsPre)
 		if err != nil {
 			return nil, err
 		}
@@ -466,24 +431,29 @@ func appendRowKey(buf []byte, row []Value) []byte {
 	return buf
 }
 
-// filterRows applies the WHERE clause: morsel-parallel for pure compiled
-// predicates over large snapshots, serial compiled when impure or small,
-// interpreted when the predicate did not compile.
-func filterRows(qc *queryCtx, ev *env, rows [][]Value, where sqlparser.Expr, pred compiledExpr, pure bool) ([][]Value, error) {
-	if where == nil {
-		return rows, nil
-	}
-	if pred != nil {
-		if pure {
-			if nw := qc.eng.scanWorkers(len(rows)); nw > 1 {
-				return parallelFilter(qc, rows, pred, nw)
-			}
+// filterRows returns the relation's rows that pass WHERE, in row order, for
+// the plans the rest of the pipeline interprets. A WHERE that lowers runs
+// as a chunk-morsel filter that boxes only the surviving rows — its
+// evaluation order cannot matter, it draws nothing from the RNG. Any other
+// WHERE is interpreted row by row over the full row view, so impure
+// predicates draw from the engine RNG in a fixed order.
+func filterRows(ev *env, rel *relation, where sqlparser.Expr) ([][]Value, error) {
+	if where != nil {
+		all := make([]outCol, rel.width())
+		for i, name := range rel.names {
+			all[i] = outCol{name: name, idx: i}
 		}
-		return serialFilter(qc, rows, pred)
+		if vs := buildVecSelect(ev.qc, rel, all, where); vs != nil {
+			return vs.run(relSource(rel))
+		}
+	}
+	rows, err := ev.qc.materialize(rel)
+	if err != nil || where == nil {
+		return rows, err
 	}
 	filtered := rows[:0:0]
 	for _, row := range rows {
-		if err := qc.tick(); err != nil {
+		if err := ev.qc.tick(); err != nil {
 			return nil, err
 		}
 		ev.row = row
@@ -540,91 +510,154 @@ func collectCalls(sel *sqlparser.SelectStmt) (aggs, wins []*sqlparser.FuncCall) 
 	return aggs, wins
 }
 
-// aggregate hash-groups rows and computes every aggregate call per group.
-func aggregate(baseEnv *env, rel *relation, rows [][]Value, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall) ([]*entry, error) {
-	type group struct {
-		repr []Value
-		accs []accumulator
-	}
-	newGroup := func(repr []Value) (*group, error) {
-		g := &group{repr: repr, accs: make([]accumulator, len(aggCalls))}
-		for i, fc := range aggCalls {
-			q, err := quantileLiteralArg(fc)
-			if err != nil {
-				return nil, err
-			}
-			acc, err := newAccumulator(fc, q, baseEnv.qc)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i] = acc
-		}
-		return g, nil
-	}
+// scanPlan is one SELECT block's scan→filter→aggregate pipeline: the
+// WHERE, GROUP BY and aggregate-argument ASTs, run through vector kernels
+// when they all lower (vecexec.go) and through the interpreter otherwise.
+type scanPlan struct {
+	qc       *queryCtx
+	eng      *Engine
+	rel      *relation
+	whereAST sqlparser.Expr // nil when the query has no WHERE
+	keyASTs  []sqlparser.Expr
+	aggCalls []*sqlparser.FuncCall
 
-	groups := map[string]*group{}
-	var order []string
-	var kb []byte
-	for _, row := range rows {
-		if err := baseEnv.qc.tick(); err != nil {
-			return nil, err
-		}
-		baseEnv.row = row
-		kb = kb[:0]
-		for _, ge := range sel.GroupBy {
-			v, err := baseEnv.eval(ge)
-			if err != nil {
-				return nil, err
-			}
-			kb = appendGroupKey(kb, v)
-			kb = append(kb, keySep)
-		}
-		g, ok := groups[string(kb)]
-		if !ok {
-			var err error
-			g, err = newGroup(row)
-			if err != nil {
-				return nil, err
-			}
-			baseEnv.qc.chargeMem(bytesPerGroup + int64(len(aggCalls))*bytesPerAcc)
-			key := string(kb)
-			groups[key] = g
-			order = append(order, key)
-		}
-		for i, fc := range aggCalls {
-			acc := g.accs[i]
-			if fc.Star {
-				acc.addStar()
-				continue
-			}
-			if len(fc.Args) == 0 {
-				return nil, fmt.Errorf("engine: aggregate %s requires an argument", fc.Name)
-			}
-			v, err := baseEnv.eval(fc.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			if err := acc.add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
+	groupBytes int64 // gauge charge per created group
+}
 
-	// A global aggregate over zero rows still yields one output row.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		g, err := newGroup(make([]Value, rel.width()))
+func newScanPlan(qc *queryCtx, rel *relation, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall) *scanPlan {
+	return &scanPlan{
+		qc: qc, eng: qc.eng, rel: rel,
+		whereAST: sel.Where, keyASTs: sel.GroupBy, aggCalls: aggCalls,
+		// Each created group costs a map entry, the accumulators, and a
+		// boxed representative row.
+		groupBytes: bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(rel.width())*bytesPerValue,
+	}
+}
+
+// newAccs builds one group's accumulators. Errors (unknown aggregate, bad
+// percentile fraction) surface here, on the first group, with the same
+// message on every path — validating upfront would allocate sketch state
+// just to throw it away.
+func (p *scanPlan) newAccs() ([]accumulator, error) {
+	accs := make([]accumulator, len(p.aggCalls))
+	for i, fc := range p.aggCalls {
+		q, err := quantileLiteralArg(fc)
 		if err != nil {
 			return nil, err
 		}
-		groups[""] = g
-		order = append(order, "")
+		acc, err := newAccumulator(fc, q, p.qc)
+		if err != nil {
+			return nil, err
+		}
+		accs[i] = acc
 	}
+	return accs, nil
+}
 
-	entries := make([]*entry, 0, len(groups))
-	for _, key := range order {
-		g := groups[key]
-		av := make(map[*sqlparser.FuncCall]Value, len(aggCalls))
-		for i, fc := range aggCalls {
+// run executes the plan. Pure plans — every expression lowers — run as
+// chunk-at-a-time morsels over the relation's columnar source (derived-table
+// rows are chunkified), through the kernels or, with vectorization off,
+// through the interpreter chunk by chunk. Everything else runs through the
+// interpreter serially, filter first and then aggregate, so impure
+// expressions draw from the engine RNG in a fixed order.
+func (p *scanPlan) run(ev *env) ([]*entry, error) {
+	if vp := buildVecPlan(p); vp != nil {
+		return vp.run(relSource(p.rel))
+	}
+	rows, err := filterRows(ev, p.rel, p.whereAST)
+	if err != nil {
+		return nil, err
+	}
+	cg := newChunkGroups()
+	if err := p.aggregateRows(ev, cg, rows, false); err != nil {
+		return nil, err
+	}
+	return p.finish(cg)
+}
+
+// aggregateRows is the interpreted hash aggregation: it filters (when
+// applyWhere) and partially aggregates rows into cg through ev. It runs the
+// interpreted plans and, with a private env per morsel worker, the
+// per-chunk fallback when a vector kernel errors.
+func (p *scanPlan) aggregateRows(ev *env, cg *chunkGroups, rows [][]Value, applyWhere bool) error {
+	if err := faultpoint.Hit(faultpoint.SiteEngineScanRows); err != nil {
+		return err
+	}
+	var buf []byte
+	poll := 0 // local counter: this runs inside morsel workers
+	for _, row := range rows {
+		if poll++; poll&(pollEvery-1) == 0 {
+			if err := p.qc.pollAbort(); err != nil {
+				return err
+			}
+		}
+		ev.row = row
+		if applyWhere && p.whereAST != nil {
+			v, err := ev.eval(p.whereAST)
+			if err != nil {
+				return err
+			}
+			if b, ok := ToBool(v); !ok || !b {
+				continue
+			}
+		}
+		buf = buf[:0]
+		for _, ke := range p.keyASTs {
+			v, err := ev.eval(ke)
+			if err != nil {
+				return err
+			}
+			buf = appendGroupKey(buf, v)
+			buf = append(buf, keySep)
+		}
+		g, ok := cg.m[string(buf)]
+		if !ok {
+			accs, err := p.newAccs()
+			if err != nil {
+				return err
+			}
+			p.qc.chargeMem(p.groupBytes)
+			g = &groupAcc{repr: row, accs: accs}
+			key := string(buf)
+			cg.m[key] = g
+			cg.order = append(cg.order, key)
+		}
+		for i, fc := range p.aggCalls {
+			if fc.Star {
+				g.accs[i].addStar()
+				continue
+			}
+			if len(fc.Args) == 0 {
+				return fmt.Errorf("engine: aggregate %s requires an argument", fc.Name)
+			}
+			v, err := ev.eval(fc.Args[0])
+			if err != nil {
+				return err
+			}
+			if err := g.accs[i].add(v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// finish converts the merged group state into output entries, emitting the
+// single zero-row entry a global aggregate requires.
+func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
+	if len(cg.order) == 0 && len(p.keyASTs) == 0 {
+		accs, err := p.newAccs()
+		if err != nil {
+			return nil, err
+		}
+		cg.m[""] = &groupAcc{repr: make([]Value, p.rel.width()), accs: accs}
+		cg.order = append(cg.order, "")
+	}
+	entries := make([]*entry, 0, len(cg.order))
+	for _, key := range cg.order {
+		g := cg.m[key]
+		av := make(map[*sqlparser.FuncCall]Value, len(p.aggCalls))
+		for i, fc := range p.aggCalls {
 			av[fc] = g.accs[i].result()
 		}
 		entries = append(entries, &entry{row: g.repr, aggVals: av})
@@ -783,7 +816,7 @@ func orderByOutputsOnly(sel *sqlparser.SelectStmt, outCols []outCol) bool {
 
 // project evaluates the select list for every entry. outCols may carry the
 // columns already derived by the caller; nil derives them here.
-func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.SelectStmt, hasAgg bool, outCols []outCol) ([]string, [][]Value, error) {
+func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.SelectStmt, outCols []outCol) ([]string, [][]Value, error) {
 	if outCols == nil {
 		var err error
 		outCols, err = deriveOutCols(rel, sel)
@@ -797,36 +830,9 @@ func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.Selec
 		cols[i] = oc.name
 	}
 
-	// Compile each projection item once. Items referencing aggregates,
-	// windows, or subqueries stay interpreted; when every item compiles
-	// pure, large projections fan out across workers.
-	items := make([]projCol, len(outCols))
-	allCompiled, allPure := true, true
-	for i, oc := range outCols {
-		if oc.expr == nil {
-			items[i] = projCol{idx: oc.idx}
-			continue
-		}
-		if fn, pure, ok := compileExpr(baseEnv.qc.eng, rel, oc.expr); ok {
-			items[i] = projCol{fn: fn}
-			allPure = allPure && pure
-		} else {
-			allCompiled = false
-		}
-	}
 	// Projection output is freshly boxed rows: charge it up front, so a
 	// blow-up (huge unaggregated projection) aborts at the next poll.
 	baseEnv.qc.chargeMem(int64(len(entries)) * (int64(len(outCols)) + 2) * bytesPerValue)
-	if allCompiled && allPure {
-		if nw := baseEnv.qc.eng.scanWorkers(len(entries)); nw > 1 {
-			rowsOut, err := parallelProject(baseEnv.qc, entries, items, nw)
-			if err != nil {
-				return nil, nil, err
-			}
-			return cols, rowsOut, nil
-		}
-	}
-
 	rowsOut := make([][]Value, len(entries))
 	for ei, en := range entries {
 		if err := baseEnv.qc.tick(); err != nil {
@@ -839,14 +845,6 @@ func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.Selec
 		for i, oc := range outCols {
 			if oc.expr == nil {
 				row[i] = en.row[oc.idx]
-				continue
-			}
-			if fn := items[i].fn; fn != nil {
-				v, err := fn(en.row)
-				if err != nil {
-					return nil, nil, err
-				}
-				row[i] = v
 				continue
 			}
 			v, err := baseEnv.eval(oc.expr)

@@ -81,7 +81,7 @@ func baseName(name string) string {
 
 // joinRelations implements hash-based equi-joins with residual predicates:
 // vectorized over columnar chunks with late materialization when the join
-// condition lowers to kernels (vecjoin.go), row-at-a-time otherwise, and a
+// condition lowers to kernels (vecjoin.go), interpreted otherwise, and a
 // nested-loop join when no equi-join pair exists.
 func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, outer *env) (*relation, error) {
 	combinedQuals := append(append([]string{}, left.qualifiers...), right.qualifiers...)
@@ -120,8 +120,8 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 
 	// Vectorized hash join: equi-keys whose expressions (and residual)
 	// lower to pure vector kernels run chunk-at-a-time with reference-based
-	// output; everything else — impure ON, subqueries in ON, no equi-key —
-	// keeps the row path below.
+	// output; everything else — impure ON, subqueries in ON, no equi-key,
+	// vectorization off — keeps the interpreted row path below.
 	if len(leftKeys) > 0 && !qc.eng.noVec.Load() {
 		vj, err := buildVecJoin(qc, left, right, combined, je.Type, leftKeys, rightKeys, residual)
 		if err != nil {
@@ -137,7 +137,16 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		}
 	}
 
-	// Row path: read both sides through the boxed row view.
+	// Row path: read both sides through the boxed row view. The probe
+	// side's chunk spans are taken first, while a columnar left input still
+	// reports its own chunks.
+	var probeSpans []int
+	if len(leftKeys) > 0 {
+		var err error
+		if probeSpans, err = chunkSpans(qc, left); err != nil {
+			return nil, err
+		}
+	}
 	if _, err := qc.materialize(left); err != nil {
 		return nil, err
 	}
@@ -151,15 +160,9 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 	combEnv := &env{qc: qc, rel: combined, outer: outer}
 
 	// The residual predicate is probed once per candidate pair: reuse one
-	// combined-row buffer instead of allocating per probe, and evaluate a
-	// compiled form when the expression supports it.
-	var residualFn compiledExpr
-	if residual != nil {
-		if fn, _, ok := compileExpr(qc.eng, combined, residual); ok {
-			residualFn = fn
-		}
-	}
+	// combined-row buffer instead of allocating per probe.
 	combinedBuf := make([]Value, left.width()+right.width())
+	combEnv.row = combinedBuf
 	// matches is probed once per candidate pair in every row-path variant,
 	// so the cancellation/budget tick here covers the O(left × right)
 	// nested-loop inner loops — the place a runaway cross join must be
@@ -173,14 +176,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		}
 		copy(combinedBuf, lrow)
 		copy(combinedBuf[left.width():], rrow)
-		var v Value
-		var err error
-		if residualFn != nil {
-			v, err = residualFn(combinedBuf)
-		} else {
-			combEnv.row = combinedBuf
-			v, err = combEnv.eval(residual)
-		}
+		v, err := combEnv.eval(residual)
 		if err != nil {
 			return false, err
 		}
@@ -293,15 +289,15 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		return combined, nil
 	}
 
-	// Hash join: build on the right, probe from the left. Key expressions
-	// are compiled once per join when possible, and composite keys are
-	// rendered into a reusable byte buffer (the map only materializes a key
-	// string when a new bucket is inserted). RIGHT/FULL joins track matched
+	// Hash join: build on the right, probe from the left. Composite keys
+	// are rendered into a reusable byte buffer (the map only materializes a
+	// key string when a new bucket is inserted). RIGHT/FULL joins track matched
 	// flags per build-row position, so unmatched right rows — including
 	// NULL-key rows, which never enter a bucket but must still null-extend —
-	// emit in build order after the probe.
-	lKeyFns := compileKeyFns(qc.eng, left, leftKeys)
-	rKeyFns := compileKeyFns(qc.eng, right, rightKeys)
+	// emit in build order after the probe. The output is cut into the same
+	// chunks the vectorized join emits — one per probe chunk with output,
+	// then one of unmatched build rows — so chunked consumers downstream
+	// run the same morsels (and sum floats in the same order) on both paths.
 	type bucket struct {
 		rows [][]Value
 		idx  []int // build-row positions, for the matched flags
@@ -318,7 +314,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		}
 		var null bool
 		var err error
-		kbuf, null, err = appendJoinKey(kbuf[:0], rEnv, rrow, rightKeys, rKeyFns)
+		kbuf, null, err = appendJoinKey(kbuf[:0], rEnv, rrow, rightKeys)
 		if err != nil {
 			return nil, err
 		}
@@ -335,47 +331,86 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		b.idx = append(b.idx, ri)
 	}
 
-	for _, lrow := range left.rows {
-		if err := qc.tick(); err != nil {
-			return nil, err
+	var spans []int
+	endSpan := func(start int) {
+		if len(out) > start {
+			spans = append(spans, len(out)-start)
 		}
-		var null bool
-		var err error
-		kbuf, null, err = appendJoinKey(kbuf[:0], lEnv, lrow, leftKeys, lKeyFns)
-		if err != nil {
-			return nil, err
-		}
-		var matchedLeft bool
-		if !null {
-			if b, ok := build[string(kbuf)]; ok {
-				for i, rrow := range b.rows {
-					ok2, err := matches(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok2 {
-						matchedLeft = true
-						if matched != nil {
-							matched[b.idx[i]] = true
+	}
+	lo := 0
+	for _, n := range probeSpans {
+		start := len(out)
+		for _, lrow := range left.rows[lo : lo+n] {
+			if err := qc.tick(); err != nil {
+				return nil, err
+			}
+			var null bool
+			var err error
+			kbuf, null, err = appendJoinKey(kbuf[:0], lEnv, lrow, leftKeys)
+			if err != nil {
+				return nil, err
+			}
+			var matchedLeft bool
+			if !null {
+				if b, ok := build[string(kbuf)]; ok {
+					for i, rrow := range b.rows {
+						ok2, err := matches(lrow, rrow)
+						if err != nil {
+							return nil, err
 						}
-						out = appendJoined(out, lrow, rrow)
+						if ok2 {
+							matchedLeft = true
+							if matched != nil {
+								matched[b.idx[i]] = true
+							}
+							out = appendJoined(out, lrow, rrow)
+						}
 					}
 				}
 			}
+			if !matchedLeft && (je.Type == sqlparser.LeftJoin || je.Type == sqlparser.FullJoin) {
+				out = appendJoined(out, lrow, nil)
+			}
 		}
-		if !matchedLeft && (je.Type == sqlparser.LeftJoin || je.Type == sqlparser.FullJoin) {
-			out = appendJoined(out, lrow, nil)
-		}
+		lo += n
+		endSpan(start)
 	}
 	if matched != nil {
+		start := len(out)
 		for ri, rrow := range right.rows {
 			if !matched[ri] {
 				out = appendJoined(out, nil, rrow)
 			}
 		}
+		endSpan(start)
 	}
 	combined.rows = out
+	combined.spans = spans
 	return combined, nil
+}
+
+// chunkSpans returns the row count of each chunk relSource(r) yields,
+// without building the chunks.
+func chunkSpans(qc *queryCtx, r *relation) ([]int, error) {
+	if r.rows == nil && r.src != nil {
+		chunks, err := r.src.resolveAll(qc)
+		if err != nil {
+			return nil, err
+		}
+		spans := make([]int, len(chunks))
+		for i, ch := range chunks {
+			spans[i] = ch.n
+		}
+		return spans, nil
+	}
+	if r.spans != nil {
+		return r.spans, nil
+	}
+	var spans []int
+	for lo := 0; lo < len(r.rows); lo += chunkRows {
+		spans = append(spans, min(chunkRows, len(r.rows)-lo))
+	}
+	return spans, nil
 }
 
 // usingQualifier resolves a USING column on one join input, returning the
@@ -474,32 +509,12 @@ func splitJoinCondition(left, right *relation, on sqlparser.Expr) (leftKeys, rig
 	return leftKeys, rightKeys, residual
 }
 
-// compileKeyFns compiles every join-key expression against its input
-// relation, or returns nil when any of them needs the interpreted path.
-func compileKeyFns(eng *Engine, rel *relation, keys []sqlparser.Expr) []compiledExpr {
-	fns := make([]compiledExpr, len(keys))
-	for i, k := range keys {
-		fn, _, ok := compileExpr(eng, rel, k)
-		if !ok {
-			return nil
-		}
-		fns[i] = fn
-	}
-	return fns
-}
-
 // appendJoinKey renders the join-key expressions for one row into buf.
 // null is true when any component is NULL.
-func appendJoinKey(buf []byte, ev *env, row []Value, keys []sqlparser.Expr, fns []compiledExpr) ([]byte, bool, error) {
-	for i, k := range keys {
-		var v Value
-		var err error
-		if fns != nil {
-			v, err = fns[i](row)
-		} else {
-			ev.row = row
-			v, err = ev.eval(k)
-		}
+func appendJoinKey(buf []byte, ev *env, row []Value, keys []sqlparser.Expr) ([]byte, bool, error) {
+	ev.row = row
+	for _, k := range keys {
+		v, err := ev.eval(k)
 		if err != nil {
 			return buf, false, err
 		}

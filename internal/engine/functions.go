@@ -12,7 +12,7 @@ import (
 
 // evalScalarFunc dispatches non-aggregate function calls on the interpreted
 // path: it evaluates the arguments and hands off to callScalar, which the
-// compiled path (compile.go) shares.
+// vectorized per-lane call node (vnCall) shares.
 func (ev *env) evalScalarFunc(x *sqlparser.FuncCall) (Value, error) {
 	args := make([]Value, len(x.Args))
 	for i, a := range x.Args {

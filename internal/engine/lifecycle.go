@@ -192,6 +192,13 @@ func (qc *queryCtx) chargeMem(n int64) {
 	}
 }
 
+// rowView returns a chunk's boxed rows for the interpreter, charging the
+// boxing like materialize does for a whole relation.
+func (qc *queryCtx) rowView(ch *chunk) [][]Value {
+	qc.chargeMem(int64(ch.n) * (int64(len(ch.cols)) + 2) * bytesPerValue)
+	return ch.rows()
+}
+
 // materialize returns the relation's boxed row view, charging the gauge
 // when boxing actually happens (a columnar source boxes each chunk once;
 // row-major relations were charged when produced). Converting a columnar

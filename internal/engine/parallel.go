@@ -5,24 +5,24 @@ import (
 	"sync"
 
 	"verdictdb/internal/faultpoint"
-	"verdictdb/internal/sqlparser"
 )
 
-// Morsel-parallel scan execution. The snapshot's chunk sequence is
-// partitioned into contiguous per-worker ranges; each worker runs the
-// vectorized (or compiled row-at-a-time, on fallback) filter + partial
-// aggregation over its chunks with a private group map, and the partial
-// states merge in chunk order. Because morsels are contiguous and merged in
-// order, the output group order equals the serial first-seen scan order, so
+// Morsel-parallel execution. A scan's chunk sequence is partitioned into
+// contiguous per-worker ranges; each worker runs the vector kernels (or the
+// interpreter through a private env: for a chunk whose kernel errors, and
+// for every chunk with the kernels off) over its chunks with private group
+// or output state, and the partial states
+// merge in chunk order. Because morsels are contiguous and merged in order,
+// the output group order equals the serial first-seen scan order, so
 // parallel execution is deterministic for a fixed parallelism level. Exact
 // float aggregates may differ from serial in the last bits (partial sums
 // reassociate); approximate sketch aggregates (approx_median's reservoir)
 // resample on merge and may differ from serial by up to the sketch's rank
 // error.
 //
-// Only plans whose every expression compiled pure take this path; impure
-// plans (rand()) and uncompilable ones run serially so that RNG draws
-// happen in exactly the interpreted order — sample scrambles stay
+// Only plans whose every expression lowers to kernels take this path;
+// impure plans (rand()) and the rest run through the interpreter serially
+// so that RNG draws happen in a fixed order — sample scrambles stay
 // byte-identical.
 
 const (
@@ -86,63 +86,6 @@ func runChunks(nw, n int, fn func(w, lo, hi int) error) error {
 		}
 	}
 	return nil
-}
-
-// serialFilter applies a compiled predicate in row order.
-func serialFilter(qc *queryCtx, rows [][]Value, pred compiledExpr) ([][]Value, error) {
-	out := rows[:0:0]
-	for _, row := range rows {
-		if err := qc.tick(); err != nil {
-			return nil, err
-		}
-		v, err := pred(row)
-		if err != nil {
-			return nil, err
-		}
-		if b, ok := ToBool(v); ok && b {
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// parallelFilter applies a pure compiled predicate across workers,
-// preserving row order by concatenating per-chunk keeps.
-func parallelFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, nw int) ([][]Value, error) {
-	outs := make([][][]Value, nw)
-	err := runChunks(nw, len(rows), func(w, lo, hi int) error {
-		var kept [][]Value
-		poll := 0
-		for _, row := range rows[lo:hi] {
-			if poll++; poll&(pollEvery-1) == 0 {
-				if err := qc.pollAbort(); err != nil {
-					return err
-				}
-			}
-			v, err := pred(row)
-			if err != nil {
-				return err
-			}
-			if b, ok := ToBool(v); ok && b {
-				kept = append(kept, row)
-			}
-		}
-		outs[w] = kept
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	res := make([][]Value, 0, total)
-	for _, o := range outs {
-		res = append(res, o...)
-	}
-	qc.eng.parallelScans.Add(1)
-	return res, nil
 }
 
 // parallelJoinProbe hands the probe side of a vectorized hash join out as
@@ -229,93 +172,6 @@ func parallelJoinProbe(vj *vecJoin, needMatched bool) ([]*chunk, []bool, error) 
 	return out, matched, nil
 }
 
-// aggSpec is one aggregate call with its compiled argument (nil for
-// count(*)-style star calls) and the argument AST for vector lowering.
-type aggSpec struct {
-	fc     *sqlparser.FuncCall
-	arg    compiledExpr
-	argAST sqlparser.Expr
-}
-
-// scanPlan is a fully compiled scan→filter→aggregate pipeline for one
-// SELECT block. It keeps the source ASTs so the vectorized path can lower
-// them to chunk-at-a-time kernels.
-type scanPlan struct {
-	qc       *queryCtx
-	eng      *Engine
-	rel      *relation
-	where    compiledExpr // nil when the query has no WHERE
-	whereAST sqlparser.Expr
-	keyFns   []compiledExpr
-	keyASTs  []sqlparser.Expr
-	specs    []aggSpec
-	pure     bool
-
-	groupBytes int64 // gauge charge per created group
-}
-
-// buildScanPlan compiles WHERE, GROUP BY keys, and aggregate arguments.
-// ok=false sends the query to the interpreted path (which also owns
-// reporting any expression errors, e.g. a bad percentile fraction).
-func buildScanPlan(qc *queryCtx, rel *relation, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, wherePred compiledExpr, wherePure bool) (*scanPlan, bool) {
-	if sel.Where != nil && wherePred == nil {
-		return nil, false
-	}
-	eng := qc.eng
-	p := &scanPlan{qc: qc, eng: eng, rel: rel, where: wherePred, whereAST: sel.Where}
-	pure := sel.Where == nil || wherePure
-	for _, ge := range sel.GroupBy {
-		fn, pu, ok := compileExpr(eng, rel, ge)
-		if !ok {
-			return nil, false
-		}
-		pure = pure && pu
-		p.keyFns = append(p.keyFns, fn)   //verdict:nocharge plan-size: one entry per GROUP BY expression
-		p.keyASTs = append(p.keyASTs, ge) //verdict:nocharge plan-size: one entry per GROUP BY expression
-	}
-	for _, fc := range aggCalls {
-		if fc.Star {
-			p.specs = append(p.specs, aggSpec{fc: fc}) //verdict:nocharge plan-size: one spec per aggregate call
-			continue
-		}
-		if len(fc.Args) == 0 {
-			return nil, false
-		}
-		fn, pu, ok := compileExpr(eng, rel, fc.Args[0])
-		if !ok {
-			return nil, false
-		}
-		pure = pure && pu
-		p.specs = append(p.specs, aggSpec{fc: fc, arg: fn, argAST: fc.Args[0]}) //verdict:nocharge plan-size: one spec per aggregate call
-	}
-	// Each created group costs a map entry, the accumulators, and a boxed
-	// representative row.
-	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(rel.width())*bytesPerValue
-	// No upfront accumulator validation: newAccumulator errors (unknown
-	// aggregate, bad percentile fraction) surface from run() with exactly
-	// the message the interpreted path would produce, and validating here
-	// would allocate sketch state (reservoirs, HLL registers) just to throw
-	// it away.
-	p.pure = pure
-	return p, true
-}
-
-func (p *scanPlan) newAccs() ([]accumulator, error) {
-	accs := make([]accumulator, len(p.specs))
-	for i, sp := range p.specs {
-		q, err := quantileLiteralArg(sp.fc)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := newAccumulator(sp.fc, q, p.qc)
-		if err != nil {
-			return nil, err
-		}
-		accs[i] = acc
-	}
-	return accs, nil
-}
-
 // groupAcc is one group's partial state: the representative row plus one
 // accumulator per aggregate call.
 type groupAcc struct {
@@ -331,68 +187,6 @@ type chunkGroups struct {
 }
 
 func newChunkGroups() *chunkGroups { return &chunkGroups{m: map[string]*groupAcc{}} }
-
-// scanRowsInto filters (when applyWhere) and partially aggregates rows
-// into cg — the row-at-a-time path, used for impure/serial plans and as
-// the per-chunk fallback when a vector kernel errors.
-func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value, applyWhere bool) error {
-	if err := faultpoint.Hit(faultpoint.SiteEngineScanRows); err != nil {
-		return err
-	}
-	var buf []byte
-	poll := 0 // local counter: this runs inside morsel workers
-	for _, row := range rows {
-		if poll++; poll&(pollEvery-1) == 0 {
-			if err := p.qc.pollAbort(); err != nil {
-				return err
-			}
-		}
-		if applyWhere && p.where != nil {
-			v, err := p.where(row)
-			if err != nil {
-				return err
-			}
-			if b, ok := ToBool(v); !ok || !b {
-				continue
-			}
-		}
-		buf = buf[:0]
-		for _, kf := range p.keyFns {
-			v, err := kf(row)
-			if err != nil {
-				return err
-			}
-			buf = appendGroupKey(buf, v)
-			buf = append(buf, keySep)
-		}
-		g, ok := cg.m[string(buf)]
-		if !ok {
-			accs, err := p.newAccs()
-			if err != nil {
-				return err
-			}
-			p.qc.chargeMem(p.groupBytes)
-			g = &groupAcc{repr: row, accs: accs}
-			key := string(buf)
-			cg.m[key] = g
-			cg.order = append(cg.order, key)
-		}
-		for i, sp := range p.specs {
-			if sp.arg == nil {
-				g.accs[i].addStar()
-				continue
-			}
-			v, err := sp.arg(row)
-			if err != nil {
-				return err
-			}
-			if err := g.accs[i].add(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // mergeChunkGroups folds per-worker states together in chunk order, which
 // reproduces the global first-seen group order of a serial scan.
@@ -423,121 +217,4 @@ func mergeChunkGroups(results []*chunkGroups) (*chunkGroups, error) {
 		}
 	}
 	return dst, nil
-}
-
-// finish converts the merged group state into output entries, emitting the
-// single zero-row entry a global aggregate requires.
-func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
-	if len(cg.order) == 0 && len(p.keyFns) == 0 {
-		accs, err := p.newAccs()
-		if err != nil {
-			return nil, err
-		}
-		cg.m[""] = &groupAcc{repr: make([]Value, p.rel.width()), accs: accs}
-		cg.order = append(cg.order, "")
-	}
-	entries := make([]*entry, 0, len(cg.order))
-	for _, key := range cg.order {
-		g := cg.m[key]
-		av := make(map[*sqlparser.FuncCall]Value, len(p.specs))
-		for i, sp := range p.specs {
-			av[sp.fc] = g.accs[i].result()
-		}
-		entries = append(entries, &entry{row: g.repr, aggVals: av})
-	}
-	return entries, nil
-}
-
-// run executes the plan. Pure plans over a columnar source run vectorized,
-// chunk-at-a-time morsels (vecexec.go); pure plans over materialized rows
-// fan out row morsels; impure plans run serially with the same two-phase
-// (filter, then aggregate) structure as the interpreted path so impure
-// expressions draw from the engine RNG in the identical order.
-func (p *scanPlan) run(rel *relation) ([]*entry, error) {
-	if p.pure && rel.rows == nil && rel.src != nil && !p.eng.noVec.Load() {
-		if vp := buildVecPlan(p); vp != nil {
-			return vp.run(rel.src)
-		}
-	}
-	rows, err := p.qc.materialize(rel)
-	if err != nil {
-		return nil, err
-	}
-	nw := 1
-	if p.pure {
-		nw = p.eng.scanWorkers(len(rows))
-	}
-	var cg *chunkGroups
-	if nw > 1 {
-		results := make([]*chunkGroups, nw)
-		err := runChunks(nw, len(rows), func(w, lo, hi int) error {
-			g := newChunkGroups()
-			results[w] = g
-			return p.scanRowsInto(g, rows[lo:hi], true)
-		})
-		if err != nil {
-			return nil, err
-		}
-		cg, err = mergeChunkGroups(results)
-		if err != nil {
-			return nil, err
-		}
-		p.eng.parallelScans.Add(1)
-	} else {
-		if p.where != nil {
-			var err error
-			rows, err = serialFilter(p.qc, rows, p.where)
-			if err != nil {
-				return nil, err
-			}
-		}
-		cg = newChunkGroups()
-		if err := p.scanRowsInto(cg, rows, false); err != nil {
-			return nil, err
-		}
-	}
-	return p.finish(cg)
-}
-
-// projCol is one compiled projection column: either a direct copy of a
-// source column (fn nil) or a compiled expression.
-type projCol struct {
-	fn  compiledExpr
-	idx int
-}
-
-// parallelProject computes the output rows for all entries across workers;
-// output order is positional, so the result is identical to a serial pass.
-func parallelProject(qc *queryCtx, entries []*entry, items []projCol, nw int) ([][]Value, error) {
-	out := make([][]Value, len(entries))
-	err := runChunks(nw, len(entries), func(w, lo, hi int) error {
-		poll := 0
-		for i := lo; i < hi; i++ {
-			if poll++; poll&(pollEvery-1) == 0 {
-				if err := qc.pollAbort(); err != nil {
-					return err
-				}
-			}
-			en := entries[i]
-			row := make([]Value, len(items))
-			for j, it := range items {
-				if it.fn == nil {
-					row[j] = en.row[it.idx]
-					continue
-				}
-				v, err := it.fn(en.row)
-				if err != nil {
-					return err
-				}
-				row[j] = v
-			}
-			out[i] = row
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	qc.eng.parallelScans.Add(1)
-	return out, nil
 }

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// Tests for the compiled + morsel-parallel scan path: equivalence with the
-// serial interpreter, deterministic serial fallback for impure queries, and
-// accumulator merge correctness.
+// Tests for the vectorized morsel-parallel scan path: equivalence with the
+// serial scan and the interpreter, deterministic serial interpretation of
+// impure queries, and accumulator merge correctness.
 
 // bigEngine builds a table large enough (>= parallelMinRows) that pure
 // scans fan out when parallelism is enabled.
@@ -21,6 +21,7 @@ func bigEngine(t testing.TB, seed int64) *Engine {
 		{Name: "s", Type: TString},
 		{Name: "x", Type: TFloat},
 		{Name: "n", Type: TInt},
+		{Name: "d", Type: TString},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +35,12 @@ func bigEngine(t testing.TB, seed int64) *Engine {
 		} else {
 			x = rng.Float64() * 1000
 		}
-		rows[i] = []Value{
-			rng.Int63n(13),
-			labels[rng.Int63n(int64(len(labels)))],
-			x,
-			rng.Int63n(1000),
-		}
+		g := rng.Int63n(13)
+		s := labels[rng.Int63n(int64(len(labels)))]
+		n := rng.Int63n(1000)
+		// A date column derived from the drawn values, for date arithmetic.
+		d := fmt.Sprintf("199%d-%02d-%02d", 4+g%5, 1+n%12, 1+n%28)
+		rows[i] = []Value{g, s, x, n, d}
 	}
 	if err := e.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
@@ -302,10 +303,12 @@ func TestAccumulatorMerge(t *testing.T) {
 	}
 }
 
-// TestCompileExprParity cross-checks serial and parallel evaluation of a
-// grab-bag of compiled expression shapes (the interpreted baseline is
-// exercised by the rest of the engine test suite, whose expectations
-// predate the compiler).
+// TestCompileExprParity cross-checks the two execution tiers on a grab-bag
+// of expression shapes: vector kernels serial and morsel-parallel, and the
+// SetVectorized(false) interpreter that is their parity oracle. Every shape
+// runs as a projection over the base table; the grouped shapes also run as
+// GROUP BY keys and aggregate arguments over a derived table, whose rows the
+// vectorized path chunkifies.
 func TestCompileExprParity(t *testing.T) {
 	e := bigEngine(t, 41)
 	exprs := []string{
@@ -330,12 +333,46 @@ func TestCompileExprParity(t *testing.T) {
 		"s = 'green'",
 		"nullif(g, 3)",
 	}
-	for _, ex := range exprs {
-		sql := "select " + ex + " as v from t"
-		rsSerial := mustQueryWithParallelism(t, e, 1, sql)
-		rsParallel := mustQueryWithParallelism(t, e, 8, sql)
-		assertSameResult(t, ex, rsSerial, rsParallel)
+	grouped := []string{
+		// Searched CASE.
+		"case when x > 500 then 'hi' when x > 100 then 'mid' else 'lo' end",
+		// Branch kinds disagree (float, int) and unmatched lanes are NULL.
+		"case when g < 3 then x when g < 6 then n end",
+		// The unselected THEN would fail on the lanes it does not claim:
+		// negating the inner CASE's string for g < 5.
+		"case when g >= 5 then -(case when g < 5 then s else n end) else x end",
+		"d + interval '1' day",
+		"d - interval '1' month",
+		// || with a NULL operand: x is NULL on a few lanes, and always here.
+		"s || x",
+		"s || null",
 	}
+	run := func(sql string, minScans int64) {
+		t.Helper()
+		e.SetVectorized(true)
+		rsSerial := mustQueryWithParallelism(t, e, 1, sql)
+		before := e.ParallelScans()
+		rsParallel := mustQueryWithParallelism(t, e, 8, sql)
+		if got := e.ParallelScans() - before; got < minScans {
+			t.Fatalf("%s: %d parallel scans, want >= %d (a vectorized stage fell back to the interpreter)", sql, got, minScans)
+		}
+		e.SetVectorized(false)
+		rsInterp := mustQueryWithParallelism(t, e, 8, sql)
+		e.SetVectorized(true)
+		assertSameResult(t, sql+" [vector serial vs parallel]", rsSerial, rsParallel)
+		assertSameResult(t, sql+" [vector serial vs interpreter]", rsSerial, rsInterp)
+	}
+	for _, ex := range append(exprs, grouped...) {
+		run("select "+ex+" as v from t", 1)
+	}
+	for _, ex := range grouped {
+		// Derived table: the inner scan and the outer aggregate both fan out.
+		run("select "+ex+" as k, count(*) as c, count("+ex+") as nk, min("+ex+") as lo "+
+			"from (select * from t) dt group by "+ex, 2)
+	}
+	// The TQ14 shape: a CASE as a summed aggregate argument.
+	run("select g, sum(case when s like 'r%' then x * (1 - n / 1000.0) else 0 end) as promo, "+
+		"sum(x) as total from (select * from t) dt group by g", 2)
 }
 
 func mustQueryWithParallelism(t *testing.T, e *Engine, par int, sql string) *ResultSet {

@@ -504,14 +504,21 @@ func (dd *dataDir) installSlots(e *Engine, w *flushWork, seg *storage.Segment, w
 	if e.tables[w.key] != w.t {
 		return // dropped (or replaced) while flushing; reconciled next cycle
 	}
+	// Copy on write: scans snapshot the sealed slice header without the
+	// lock held afterwards, so swapping slots in the shared backing array
+	// would race their reads. They keep the old array, whose resident
+	// chunks stay valid.
+	sealed := make([]chunkSlot, len(w.t.sealed))
+	copy(sealed, w.t.sealed)
 	//verdict:nopoll O(#flushed chunks) pointer swaps under e.mu — no row work, must not abort half-swapped
 	for i, ch := range w.newChunks {
 		s := &segSlot{seg: seg, idx: i, cache: dd.cache}
-		w.t.sealed[w.persisted+i] = s
+		sealed[w.persisted+i] = s
 		if warmCache {
 			dd.cache.put(s, ch)
 		}
 	}
+	w.t.sealed = sealed
 	w.t.persisted = w.persisted + len(w.newChunks)
 }
 
@@ -675,12 +682,17 @@ func (dd *dataDir) swapCompacted(e *Engine, name string, nchunks int, seg *stora
 	if !ok || t.persisted != nchunks {
 		return
 	}
+	// Copy on write, like installSlots: live scan snapshots keep reading
+	// the old array.
+	sealed := make([]chunkSlot, len(t.sealed))
+	copy(sealed, t.sealed)
 	for i := 0; i < nchunks; i++ {
-		if old, ok := t.sealed[i].(*segSlot); ok {
+		if old, ok := sealed[i].(*segSlot); ok {
 			dd.cache.drop(old)
 		}
-		t.sealed[i] = &segSlot{seg: seg, idx: i, cache: dd.cache}
+		sealed[i] = &segSlot{seg: seg, idx: i, cache: dd.cache}
 	}
+	t.sealed = sealed
 }
 
 // maybeSpill eagerly flushes after a bulk insert when ENGINE_SPILL is set,

@@ -107,9 +107,8 @@ type Engine struct {
 	maxPar        atomic.Int32
 	parallelScans atomic.Int64
 
-	// noVec disables the vectorized chunk-at-a-time execution path,
-	// forcing every query through the row-view fallback. Test knob for
-	// columnar ≡ row-view parity checks.
+	// noVec turns the vector kernels off: every chunk goes through the
+	// interpreter, the parity oracle the kernels are tested against.
 	noVec atomic.Bool
 
 	// memBudget is the default per-query memory budget in bytes (0 = none);
@@ -139,9 +138,11 @@ func (e *Engine) Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetVectorized toggles the vectorized execution path (on by default).
-// With it off, scans read through the chunk row views exactly like the
-// interpreted fallback — the parity tests compare the two.
+// SetVectorized toggles the vector kernels (on by default). With them off,
+// every expression runs through the interpreter over the chunks' row
+// views: pure plans on the same chunk morsels the kernels would use, so
+// partial states merge in the same order, and the rest serially — the
+// parity tests compare the two.
 func (e *Engine) SetVectorized(on bool) { e.noVec.Store(!on) }
 
 // ParallelScans returns how many scans have run morsel-parallel since the

@@ -12,13 +12,15 @@ import (
 // non-aggregate selects. Both hand out whole chunks as morsels (contiguous
 // chunk ranges per worker, merged/concatenated in chunk order), so results
 // and group order match the serial row scan. Any chunk whose vector
-// evaluation errors is transparently re-run through the row-compiled
-// closures over the chunk's cached row view before any state was mutated —
-// semantics, including error behavior, stay identical to the row path.
+// evaluation errors is transparently re-run through the interpreter over
+// the chunk's cached row view, with the worker's private env, before any
+// state was mutated — semantics, including error behavior, stay identical
+// to the interpreter.
 
 // vecPlan is a scanPlan lowered to vector kernels.
 type vecPlan struct {
 	p          *scanPlan
+	interp     bool    // vectorization off: every chunk takes the interpreter
 	where      vnode   // nil when the query has no WHERE
 	whereConjs []vnode // top-level AND conjuncts of where
 	keys       []vnode // GROUP BY keys
@@ -26,11 +28,11 @@ type vecPlan struct {
 	nbuf       int
 }
 
-// buildVecPlan lowers a pure compiled scan plan to vector kernels; nil
-// when some expression cannot run on the vectorized path.
+// buildVecPlan lowers a scan plan to vector kernels; nil when some
+// expression cannot run on the vectorized path.
 func buildVecPlan(p *scanPlan) *vecPlan {
 	c := &vecCompiler{eng: p.eng, rel: p.rel}
-	vp := &vecPlan{p: p}
+	vp := &vecPlan{p: p, interp: p.eng.noVec.Load()}
 	if p.whereAST != nil {
 		vp.where, vp.whereConjs = c.lowerWhere(p.whereAST)
 		if vp.where == nil {
@@ -44,12 +46,15 @@ func buildVecPlan(p *scanPlan) *vecPlan {
 		}
 		vp.keys = append(vp.keys, n) //verdict:nocharge plan-size: one vnode per GROUP BY expression
 	}
-	for _, sp := range p.specs {
-		if sp.fc.Star {
+	for _, fc := range p.aggCalls {
+		if fc.Star {
 			vp.args = append(vp.args, nil) //verdict:nocharge plan-size: one vnode slot per aggregate call
 			continue
 		}
-		n := c.lower(sp.argAST)
+		if len(fc.Args) == 0 {
+			return nil // the interpreter reports the missing argument
+		}
+		n := c.lower(fc.Args[0])
 		if n == nil {
 			return nil
 		}
@@ -60,7 +65,9 @@ func buildVecPlan(p *scanPlan) *vecPlan {
 }
 
 func (vp *vecPlan) newCtx() *vecCtx {
-	return newVecCtx(vp.nbuf, len(vp.keys), len(vp.args), 0)
+	vc := newVecCtx(vp.nbuf, len(vp.keys), len(vp.args), 0)
+	vc.ev = &env{qc: vp.p.qc, rel: vp.p.rel}
+	return vc
 }
 
 // run executes the vectorized plan over the snapshot, morsel-parallel when
@@ -121,10 +128,13 @@ func (vp *vecPlan) run(src *colSource) ([]*entry, error) {
 
 // scanChunk filters and partially aggregates one chunk into cg. Vector
 // evaluation happens before any accumulator is touched, so an erroring
-// kernel can fall back to the row path for the whole chunk.
+// kernel can fall back to the interpreter for the whole chunk.
 func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanChunk); err != nil {
 		return err
+	}
+	if vp.interp {
+		return vp.interpretChunk(cg, vc, ch)
 	}
 	lanes := ch.n
 	var sel []int32
@@ -133,7 +143,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 		var err error
 		sel, all, err = evalFilter(vc, ch, vp.where, vp.whereConjs)
 		if err != nil {
-			return vp.p.scanRowsInto(cg, ch.rows(), true)
+			return vp.interpretChunk(cg, vc, ch)
 		}
 		if all {
 			sel = nil
@@ -147,7 +157,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	for i, kn := range vp.keys {
 		v, err := kn.eval(vc, ch, sel)
 		if err != nil {
-			return vp.p.scanRowsInto(cg, ch.rows(), true)
+			return vp.interpretChunk(cg, vc, ch)
 		}
 		vc.keys[i] = v
 	}
@@ -158,7 +168,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 		}
 		v, err := an.eval(vc, ch, sel)
 		if err != nil {
-			return vp.p.scanRowsInto(cg, ch.rows(), true)
+			return vp.interpretChunk(cg, vc, ch)
 		}
 		vc.args[i] = v
 	}
@@ -255,6 +265,12 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	return nil
 }
 
+// interpretChunk filters and partially aggregates one chunk through the
+// interpreter, with the worker's private env.
+func (vp *vecPlan) interpretChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
+	return vp.p.aggregateRows(vc.ev, cg, vp.p.qc.rowView(ch), true)
+}
+
 // appendGroupKeyLane renders lane k of a key vector with the same encoding
 // as appendGroupKey, reading typed storage directly.
 func appendGroupKeyLane(dst []byte, v *vec, k int) []byte {
@@ -316,11 +332,13 @@ func addLane(acc accumulator, v *vec, k int) error {
 type vecSelect struct {
 	qc         *queryCtx
 	eng        *Engine
+	rel        *relation
+	interp     bool // vectorization off: every chunk takes the interpreter
 	where      vnode
 	whereConjs []vnode
-	whereFn    compiledExpr // row-path fallback predicate
+	whereAST   sqlparser.Expr // for the per-chunk interpreter fallback
+	outCols    []outCol       // for the per-chunk interpreter fallback
 	items      []vnode
-	itemFns    []projCol // row-path fallback projections
 	// itemCols[j] >= 0 marks output j as a plain column reference: the
 	// kernel eval is skipped and surviving lanes late-materialize straight
 	// from chunk storage (boxcol.go) after the filter has shrunk the lane
@@ -331,10 +349,10 @@ type vecSelect struct {
 
 // buildVecSelect lowers the WHERE and output columns of a non-aggregate
 // SELECT; nil when any of them cannot run vectorized.
-func buildVecSelect(qc *queryCtx, rel *relation, outCols []outCol, wherePred compiledExpr, whereAST sqlparser.Expr) *vecSelect {
+func buildVecSelect(qc *queryCtx, rel *relation, outCols []outCol, whereAST sqlparser.Expr) *vecSelect {
 	eng := qc.eng
 	c := &vecCompiler{eng: eng, rel: rel}
-	vs := &vecSelect{qc: qc, eng: eng, whereFn: wherePred}
+	vs := &vecSelect{qc: qc, eng: eng, rel: rel, interp: eng.noVec.Load(), whereAST: whereAST, outCols: outCols}
 	if whereAST != nil {
 		vs.where, vs.whereConjs = c.lowerWhere(whereAST)
 		if vs.where == nil {
@@ -345,7 +363,6 @@ func buildVecSelect(qc *queryCtx, rel *relation, outCols []outCol, wherePred com
 	for _, oc := range outCols {
 		if oc.expr == nil {
 			vs.items = append(vs.items, &vnCol{id: c.newID(), col: oc.idx}) //verdict:nocharge plan-size
-			vs.itemFns = append(vs.itemFns, projCol{idx: oc.idx})           //verdict:nocharge plan-size
 			vs.itemCols = append(vs.itemCols, oc.idx)                       //verdict:nocharge plan-size
 			continue
 		}
@@ -353,20 +370,21 @@ func buildVecSelect(qc *queryCtx, rel *relation, outCols []outCol, wherePred com
 		if n == nil {
 			return nil
 		}
-		fn, pure, ok := compileExpr(eng, rel, oc.expr)
-		if !ok || !pure {
-			return nil
-		}
 		ci := -1
 		if cn, isCol := n.(*vnCol); isCol {
 			ci = cn.col // explicit column reference: late-materialize too
 		}
-		vs.items = append(vs.items, n)                   //verdict:nocharge plan-size
-		vs.itemFns = append(vs.itemFns, projCol{fn: fn}) //verdict:nocharge plan-size
-		vs.itemCols = append(vs.itemCols, ci)            //verdict:nocharge plan-size
+		vs.items = append(vs.items, n)        //verdict:nocharge plan-size
+		vs.itemCols = append(vs.itemCols, ci) //verdict:nocharge plan-size
 	}
 	vs.nbuf = c.nbuf
 	return vs
+}
+
+func (vs *vecSelect) newCtx() *vecCtx {
+	vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
+	vc.ev = &env{qc: vs.qc, rel: vs.rel}
+	return vc
 }
 
 func (vs *vecSelect) run(src *colSource) ([][]Value, error) {
@@ -376,7 +394,7 @@ func (vs *vecSelect) run(src *colSource) ([][]Value, error) {
 		nw = len(slots)
 	}
 	if nw <= 1 {
-		vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
+		vc := vs.newCtx()
 		// Row headers for every source row up front: the filter can only
 		// shrink the output, and append-doubling over a six-figure result
 		// costs more in copies and GC scanning than the slack.
@@ -399,7 +417,7 @@ func (vs *vecSelect) run(src *colSource) ([][]Value, error) {
 	}
 	outs := make([][][]Value, nw)
 	err := runChunks(nw, len(slots), func(w, lo, hi int) error {
-		vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
+		vc := vs.newCtx()
 		span := 0
 		for _, sl := range slots[lo:hi] {
 			span += sl.slotRows()
@@ -439,6 +457,9 @@ func (vs *vecSelect) run(src *colSource) ([][]Value, error) {
 
 // projectChunk filters and projects one chunk, appending the output rows.
 func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Value, error) {
+	if vs.interp {
+		return vs.projectChunkRows(out, vc.ev, ch)
+	}
 	lanes := ch.n
 	var sel []int32
 	if vs.where != nil {
@@ -446,7 +467,7 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 		var err error
 		sel, all, err = evalFilter(vc, ch, vs.where, vs.whereConjs)
 		if err != nil {
-			return vs.projectChunkRows(out, ch)
+			return vs.projectChunkRows(out, vc.ev, ch)
 		}
 		if all {
 			sel = nil
@@ -467,7 +488,7 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 		}
 		v, err := it.eval(vc, ch, sel)
 		if err != nil {
-			return vs.projectChunkRows(out, ch)
+			return vs.projectChunkRows(out, vc.ev, ch)
 		}
 		vc.items[j] = v
 	}
@@ -490,12 +511,13 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 	return out, nil
 }
 
-// projectChunkRows is the per-chunk row-path fallback: filter and project
-// through the compiled closures over the cached row view.
-func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk) ([][]Value, error) {
-	for _, r := range ch.rows() {
-		if vs.whereFn != nil {
-			v, err := vs.whereFn(r)
+// projectChunkRows is the per-chunk fallback: filter and project through
+// the interpreter over the chunk's cached row view.
+func (vs *vecSelect) projectChunkRows(out [][]Value, ev *env, ch *chunk) ([][]Value, error) {
+	for _, r := range vs.qc.rowView(ch) {
+		ev.row = r
+		if vs.whereAST != nil {
+			v, err := ev.eval(vs.whereAST)
 			if err != nil {
 				return nil, err
 			}
@@ -503,13 +525,13 @@ func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk) ([][]Value, erro
 				continue
 			}
 		}
-		row := make([]Value, len(vs.itemFns))
-		for j, it := range vs.itemFns {
-			if it.fn == nil {
-				row[j] = r[it.idx]
+		row := make([]Value, len(vs.outCols))
+		for j, oc := range vs.outCols {
+			if oc.expr == nil {
+				row[j] = r[oc.idx]
 				continue
 			}
-			v, err := it.fn(r)
+			v, err := ev.eval(oc.expr)
 			if err != nil {
 				return nil, err
 			}

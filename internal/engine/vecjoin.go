@@ -27,9 +27,9 @@ import (
 // before LEFT/FULL null-extension and RIGHT/FULL matched-marking, so outer
 // join semantics match the row path bit for bit. Joins that don't fit —
 // impure ON expressions, subqueries in ON, no equi-key at all — keep the
-// row path in joinRelations, and any chunk whose kernel evaluation errors
-// is transparently re-run through the row-compiled closures before state is
-// mutated, preserving error identity with the row path.
+// interpreted row path in joinRelations, and any chunk whose kernel
+// evaluation errors is transparently re-run through the interpreter before
+// state is mutated, preserving error identity with the row path.
 
 // nullRef marks a null-extended side in a join-output row reference.
 const nullRef = int64(-1)
@@ -44,10 +44,12 @@ func unpackRef(r int64) (ci, ri int) { return int(r >> 32), int(uint32(r)) }
 type joinBucket struct{ refs []int64 }
 
 // vecJoin is one lowered hash join: chunked inputs, vector kernels for the
-// key and residual expressions, and their row-compiled fallbacks.
+// key and residual expressions, and the ASTs the interpreter fallback
+// evaluates.
 type vecJoin struct {
 	qc     *queryCtx
 	eng    *Engine
+	interp bool // vectorization off: every chunk takes the interpreter
 	jt     sqlparser.JoinType
 	leftW  int
 	rightW int
@@ -63,30 +65,52 @@ type vecJoin struct {
 	// path once per join instead of per chunk.
 	buildKinds []ColType
 
+	left, right, combined *relation
+	lKeys, rKeys          []sqlparser.Expr
+	residual              sqlparser.Expr
+
 	lKeyNodes []vnode
 	rKeyNodes []vnode
-	lKeyFns   []compiledExpr // row fallback, same key encoding
-	rKeyFns   []compiledExpr
 	lNbuf     int
 	rNbuf     int
 
 	resFull  vnode   // nil when the join has no residual
 	resConjs []vnode // top-level AND conjuncts of the residual
-	resFn    compiledExpr
 	resNbuf  int
 
 	buckets map[string]*joinBucket
 }
 
-// relationChunks exposes a relation as columnar chunks: base-table scans
-// resolve their source slots (loading segment-backed chunks); row-major
-// relations (derived tables, row path outputs) are chunkified in place,
-// keeping the boxed rows as the chunk row views.
-func relationChunks(qc *queryCtx, r *relation) ([]*chunk, error) {
+// relSource exposes a relation as the columnar source the chunked drivers
+// iterate: a base-table snapshot (or join output) as is; row-major
+// relations (derived tables, row-path outputs) chunkified — along their
+// spans when the producer recorded them — keeping the boxed rows as the
+// chunk row views.
+func relSource(r *relation) *colSource {
 	if r.rows == nil && r.src != nil {
-		return r.src.resolveAll(qc)
+		return r.src
 	}
-	return chunkifyRows(r.rows, r.width()), nil
+	if r.spans == nil {
+		return chunkSource(chunkifyRows(r.rows, r.width()))
+	}
+	chunks := make([]*chunk, len(r.spans))
+	lo := 0
+	for i, n := range r.spans {
+		chunks[i] = buildChunk(r.rows[lo:lo+n], r.width(), true, false)
+		lo += n
+	}
+	return chunkSource(chunks)
+}
+
+// chunkSource wraps resident chunks as a colSource.
+func chunkSource(chunks []*chunk) *colSource {
+	n := 0
+	slots := make([]chunkSlot, len(chunks)) //verdict:nocharge slot-pointer headers over chunks already charged (or owned) by their producer
+	for i, ch := range chunks {
+		n += ch.n
+		slots[i] = ch
+	}
+	return &colSource{sealed: slots, nrows: n}
 }
 
 // buildVecJoin lowers an equi-join for the vectorized path, or returns nil
@@ -96,7 +120,9 @@ func relationChunks(qc *queryCtx, r *relation) ([]*chunk, error) {
 func buildVecJoin(qc *queryCtx, left, right, combined *relation, jt sqlparser.JoinType,
 	leftKeys, rightKeys []sqlparser.Expr, residual sqlparser.Expr) (*vecJoin, error) {
 	eng := qc.eng
-	vj := &vecJoin{qc: qc, eng: eng, jt: jt, leftW: left.width(), rightW: right.width()}
+	vj := &vecJoin{qc: qc, eng: eng, interp: eng.noVec.Load(), jt: jt, leftW: left.width(), rightW: right.width(),
+		left: left, right: right, combined: combined,
+		lKeys: leftKeys, rKeys: rightKeys, residual: residual}
 
 	lc := &vecCompiler{eng: eng, rel: left}
 	for _, k := range leftKeys {
@@ -117,15 +143,6 @@ func buildVecJoin(qc *queryCtx, left, right, combined *relation, jt sqlparser.Jo
 	}
 	vj.rNbuf = rc.nbuf
 
-	// Row-compiled fallbacks: lowering succeeded, so these compile too —
-	// the nil checks are belt and braces.
-	if vj.lKeyFns = compileKeyFns(eng, left, leftKeys); vj.lKeyFns == nil {
-		return nil, nil
-	}
-	if vj.rKeyFns = compileKeyFns(eng, right, rightKeys); vj.rKeyFns == nil {
-		return nil, nil
-	}
-
 	if residual != nil {
 		cc := &vecCompiler{eng: eng, rel: combined}
 		vj.resFull, vj.resConjs = cc.lowerWhere(residual)
@@ -133,19 +150,14 @@ func buildVecJoin(qc *queryCtx, left, right, combined *relation, jt sqlparser.Jo
 			return nil, nil
 		}
 		vj.resNbuf = cc.nbuf
-		fn, _, ok := compileExpr(eng, combined, residual)
-		if !ok {
-			return nil, nil
-		}
-		vj.resFn = fn
 	}
 
 	var err error
-	vj.probeChunks, err = relationChunks(qc, left)
+	vj.probeChunks, err = relSource(left).resolveAll(qc)
 	if err != nil {
 		return nil, err
 	}
-	vj.buildChunks, err = relationChunks(qc, right)
+	vj.buildChunks, err = relSource(right).resolveAll(qc)
 	if err != nil {
 		return nil, err
 	}
@@ -194,13 +206,7 @@ func (vj *vecJoin) run() (*colSource, error) {
 			out = append(out, tc)
 		}
 	}
-	n := 0
-	slots := make([]chunkSlot, len(out)) //verdict:nocharge slot-pointer headers over join-output chunks charged during the probe
-	for i, ch := range out {
-		n += ch.n
-		slots[i] = ch
-	}
-	return &colSource{sealed: slots, nrows: n}, nil
+	return chunkSource(out), nil
 }
 
 func (vj *vecJoin) insert(key []byte, ref int64) {
@@ -215,10 +221,11 @@ func (vj *vecJoin) insert(key []byte, ref int64) {
 // buildHash scans the build side chunk-at-a-time, rendering key lanes from
 // typed vectors; rows with a NULL key component never enter the table,
 // matching the row path. A chunk whose key kernel errors is re-run through
-// the row-compiled keys, so error identity matches a serial row scan.
+// the interpreter, so error identity matches a serial row scan.
 func (vj *vecJoin) buildHash() error {
 	vj.buckets = make(map[string]*joinBucket)
 	vc := newVecCtx(vj.rNbuf, 0, 0, 0)
+	vc.ev = &env{qc: vj.qc, rel: vj.right}
 	keys := make([]*vec, len(vj.rKeyNodes))
 	var kbuf []byte
 	start := 0
@@ -233,17 +240,13 @@ func (vj *vecJoin) buildHash() error {
 		// plus bucket overhead folded into the flat per-row estimate.
 		vj.qc.chargeMem(int64(ch.n) * bytesPerRef)
 		vj.buildStart = append(vj.buildStart, start)
-		kernelOK := true
-		for i, kn := range vj.rKeyNodes {
-			v, err := kn.eval(vc, ch, nil)
-			if err != nil {
-				kernelOK = false
-				break
-			}
-			keys[i] = v
+		kernelOK := !vj.interp
+		for i := 0; kernelOK && i < len(vj.rKeyNodes); i++ {
+			v, err := vj.rKeyNodes[i].eval(vc, ch, nil)
+			keys[i], kernelOK = v, err == nil
 		}
 		if !kernelOK {
-			if err := vj.buildChunkRows(ch, ci); err != nil {
+			if err := vj.buildChunkRows(vc.ev, ch, ci); err != nil {
 				return err
 			}
 			start += ch.n
@@ -271,23 +274,15 @@ func (vj *vecJoin) buildHash() error {
 	return nil
 }
 
-// buildChunkRows is the per-chunk row fallback for the hash build.
-func (vj *vecJoin) buildChunkRows(ch *chunk, ci int) error {
+// buildChunkRows is the per-chunk interpreter fallback for the hash build.
+func (vj *vecJoin) buildChunkRows(ev *env, ch *chunk, ci int) error {
 	var kbuf []byte
-	for ri, row := range ch.rows() {
-		kbuf = kbuf[:0]
-		null := false
-		for _, fn := range vj.rKeyFns {
-			v, err := fn(row)
-			if err != nil {
-				return err
-			}
-			if v == nil {
-				null = true
-				break
-			}
-			kbuf = appendGroupKey(kbuf, v)
-			kbuf = append(kbuf, keySep)
+	for ri, row := range vj.qc.rowView(ch) {
+		var null bool
+		var err error
+		kbuf, null, err = appendJoinKey(kbuf[:0], ev, row, vj.rKeys)
+		if err != nil {
+			return err
 		}
 		if null {
 			continue
@@ -304,7 +299,7 @@ func (vj *vecJoin) flat(ref int64) int {
 
 // probeCtx is one probe worker's private state.
 type probeCtx struct {
-	kc      *vecCtx // key kernel buffers
+	kc      *vecCtx // key kernel buffers; kc.ev is the left-side fallback env
 	rc      *vecCtx // residual kernel buffers
 	keys    []*vec
 	kbuf    []byte
@@ -313,8 +308,10 @@ type probeCtx struct {
 
 func (vj *vecJoin) newProbeCtx(needMatched bool) *probeCtx {
 	pc := &probeCtx{kc: newVecCtx(vj.lNbuf, 0, 0, 0), keys: make([]*vec, len(vj.lKeyNodes))}
+	pc.kc.ev = &env{qc: vj.qc, rel: vj.left}
 	if vj.resFull != nil {
 		pc.rc = newVecCtx(vj.resNbuf, 0, 0, 0)
+		pc.rc.ev = &env{qc: vj.qc, rel: vj.combined}
 	}
 	if needMatched {
 		pc.matched = make([]bool, vj.nBuild)
@@ -327,6 +324,9 @@ func (vj *vecJoin) newProbeCtx(needMatched bool) *probeCtx {
 // row path exactly: probe rows in order, matches within a probe row in
 // build insertion order, LEFT/FULL null-extension in place.
 func (vj *vecJoin) probeChunk(pc *probeCtx, ch *chunk) (*chunk, error) {
+	if vj.interp {
+		return vj.probeChunkRows(pc, ch)
+	}
 	for i, kn := range vj.lKeyNodes {
 		v, err := kn.eval(pc.kc, ch, nil)
 		if err != nil {
@@ -425,40 +425,33 @@ func (vj *vecJoin) probeChunk(pc *probeCtx, ch *chunk) (*chunk, error) {
 	return vj.newJoinChunk(ch, sel, refs), nil
 }
 
-// probeChunkRows is the per-chunk row fallback for the probe: the same
-// per-row key render + bucket walk + residual loop as the row-path join,
-// emitting references instead of combined rows.
+// probeChunkRows is the per-chunk interpreter fallback for the probe: the
+// same per-row key render + bucket walk + residual loop as the row-path
+// join, emitting references instead of combined rows.
 func (vj *vecJoin) probeChunkRows(pc *probeCtx, ch *chunk) (*chunk, error) {
 	var sel []int32
 	var refs []int64
 	var combinedBuf []Value
-	if vj.resFn != nil {
+	if vj.residual != nil {
 		combinedBuf = make([]Value, vj.leftW+vj.rightW)
+		pc.rc.ev.row = combinedBuf
 	}
-	for k, lrow := range ch.rows() {
-		pc.kbuf = pc.kbuf[:0]
-		null := false
-		for _, fn := range vj.lKeyFns {
-			v, err := fn(lrow)
-			if err != nil {
-				return nil, err
-			}
-			if v == nil {
-				null = true
-				break
-			}
-			pc.kbuf = appendGroupKey(pc.kbuf, v)
-			pc.kbuf = append(pc.kbuf, keySep)
+	for k, lrow := range vj.qc.rowView(ch) {
+		var null bool
+		var err error
+		pc.kbuf, null, err = appendJoinKey(pc.kbuf[:0], pc.kc.ev, lrow, vj.lKeys)
+		if err != nil {
+			return nil, err
 		}
 		matchedLeft := false
 		if !null {
 			if b, ok := vj.buckets[string(pc.kbuf)]; ok {
 				for _, r := range b.refs {
-					if vj.resFn != nil {
+					if vj.residual != nil {
 						ci, ri := unpackRef(r)
 						copy(combinedBuf, lrow)
 						copy(combinedBuf[vj.leftW:], vj.buildChunks[ci].rows()[ri])
-						v, err := vj.resFn(combinedBuf)
+						v, err := pc.rc.ev.eval(vj.residual)
 						if err != nil {
 							return nil, err
 						}

@@ -2,11 +2,12 @@ package engine
 
 import "testing"
 
-// Row-view baselines for the E1 benchmarks: the same queries with
-// SetVectorized(false), which forces scans through the chunks' cached
-// boxed-row views — the interpreter-fallback data path. Diffing these
-// against BenchmarkE1* isolates what the vectorized pipeline buys on this
-// machine (the row→columnar delta also lands in BENCH_engine.json).
+// Interpreter baselines for the E1 benchmarks: the same queries with
+// SetVectorized(false), which runs every expression through the
+// interpreter (env.eval per row over the chunks' cached boxed-row views, on
+// the same chunk morsels the kernels use) — the engine's only other
+// execution tier. Diffing these against BenchmarkE1* isolates what the
+// vector kernels buy on this machine.
 
 func rowPathEngine(b *testing.B) *Engine {
 	e := e1Engine(b)

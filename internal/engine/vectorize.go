@@ -8,26 +8,31 @@ import (
 	"verdictdb/internal/sqlparser"
 )
 
-// Chunk-at-a-time vectorized expression evaluation. The row compiler in
-// compile.go lowers an expression to a per-row closure; this file lowers
-// the same ASTs to vector kernels that consume a sealed chunk's typed
-// columns directly and produce typed output vectors, so the scan hot path
-// never boxes values. WHERE predicates produce a selection vector; GROUP BY
+// Chunk-at-a-time vectorized expression evaluation: every pure expression
+// lowers to vector kernels that consume a sealed chunk's typed columns
+// directly and produce typed output vectors, so the scan hot path never
+// boxes whole rows. WHERE predicates produce a selection vector; GROUP BY
 // keys render straight from typed lanes into the reusable key buffer;
 // aggregate arguments feed accumulators through typed entry points
-// (agg.go). Every kernel replicates the row path's semantics exactly —
-// NULL propagation, numeric coercion through float64, three-valued
-// AND/OR — and shapes without a kernel (CASE, subqueries-free scalar
-// functions, string concatenation, ...) fall back to evaluating the
-// row-compiled closure per selected lane against the chunk's cached row
-// view, which by construction matches the interpreter bit for bit. If a
-// kernel reports an error the caller re-runs the whole chunk through the
-// row path, so even error behavior (e.g. short-circuit AND skipping an
-// erroring operand) is identical.
+// (agg.go). Every kernel replicates the interpreter's semantics exactly —
+// NULL propagation, numeric coercion through float64, three-valued AND/OR —
+// and the shapes without a typed kernel (most scalar functions, ||, CAST,
+// date arithmetic) run through vnCall, which boxes only the argument lanes
+// it references. If a kernel reports an error the caller re-runs the whole
+// chunk through the interpreter (env.eval) before touching any state, so
+// even error behavior (e.g. short-circuit AND skipping an erroring operand)
+// is identical.
 //
 // Only pure expressions are ever vectorized: anything drawing from the
-// engine RNG keeps the serial row path so sample scrambles stay
-// byte-identical.
+// engine RNG (impureFuncs), subqueries, and columns that resolve only in an
+// enclosing scope stay on the interpreter, serially, so sample scrambles
+// stay byte-identical.
+
+// impureFuncs are the scalar functions whose result depends on engine RNG
+// state. Expressions containing them never lower to kernels.
+var impureFuncs = map[string]bool{
+	"rand": true, "random": true, "rand_poisson1": true,
+}
 
 // vec is a batch of values for the lanes of one chunk (or its selected
 // subset). Exactly one typed slice is populated according to kind; TAny
@@ -160,11 +165,34 @@ type vbuf struct {
 	// this buffer: the constant never changes, so later chunks reslice
 	// instead of refilling.
 	litLanes int
+
+	// Scratch for nodes over several children: vnCase's per-branch lane
+	// sets and sub-selection, vnCall's argument vectors and boxed lanes.
+	sets  [][]int32
+	parts []*vec
+	argv  []Value
+}
+
+// laneSets returns n lane-index scratch slices with capacity for lanes
+// entries each, reused across chunks.
+func (b *vbuf) laneSets(n, lanes int) [][]int32 {
+	if len(b.sets) < n {
+		b.sets = make([][]int32, n)
+	}
+	for i := range b.sets[:n] {
+		if cap(b.sets[i]) < lanes {
+			b.sets[i] = make([]int32, 0, max(lanes, chunkRows))
+		}
+	}
+	return b.sets[:n]
 }
 
 // vecCtx is one worker's evaluation state: per-node buffers plus reusable
 // selection/key scratch. Never shared between goroutines.
 type vecCtx struct {
+	// ev is the worker's private interpreter env for the per-chunk
+	// fallback (nil where no fallback exists).
+	ev     *env
 	bufs   []vbuf
 	sel    []int32
 	sel2   []int32
@@ -518,32 +546,6 @@ func (n *vnLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 		ov.anys = ov.anys[:lanes]
 	}
 	b.litLanes = fill
-	return ov, nil
-}
-
-// vnScalar evaluates a pure row-compiled closure per selected lane against
-// the chunk's cached row view — the graceful-degradation path for shapes
-// without a vector kernel (CASE, coalesce, ||, date arithmetic, ...).
-type vnScalar struct {
-	id int
-	fn compiledExpr
-}
-
-func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
-	rows := ch.rows()
-	lanes := laneCount(ch, sel)
-	ov := vc.out(n.id, TAny, lanes)
-	for k := 0; k < lanes; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		v, err := n.fn(rows[i])
-		if err != nil {
-			return nil, err
-		}
-		ov.anys[k] = v
-	}
 	return ov, nil
 }
 
@@ -1280,7 +1282,7 @@ func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 			if lv.isNull(k) {
 				continue
 			}
-			if lanesEqual(xv, lv, k) {
+			if lanesEqual(xv, k, lv, k) {
 				found = true
 				break
 			}
@@ -1290,17 +1292,17 @@ func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	return ov, nil
 }
 
-// lanesEqual mirrors Compare(a, b) == 0 for two non-NULL lanes.
-func lanesEqual(a, b *vec, k int) bool {
-	af, aok := laneFloat(a, k)
-	bf, bok := laneFloat(b, k)
+// lanesEqual mirrors Compare == 0 for non-NULL lane i of a and lane j of b.
+func lanesEqual(a *vec, i int, b *vec, j int) bool {
+	af, aok := laneFloat(a, i)
+	bf, bok := laneFloat(b, j)
 	if aok && bok {
 		return cmpFloat64(af, bf) == 0
 	}
 	if a.kind == TString && b.kind == TString {
-		return a.str(k) == b.str(k)
+		return a.str(i) == b.str(j)
 	}
-	return Compare(laneValue(a, k), laneValue(b, k)) == 0
+	return Compare(laneValue(a, i), laneValue(b, j)) == 0
 }
 
 type vnLike struct {
@@ -1427,6 +1429,210 @@ func (n *vnYear) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	return ov, nil
 }
 
+// ---- conditional ----
+
+// vnCase is CASE in both forms. Each WHEN runs only over the lanes no
+// earlier WHEN claimed and each THEN only over the lanes its WHEN claimed —
+// the lanes the interpreter evaluates them on — so a branch that would
+// error on rows it never selects does not fail the chunk. The result keeps
+// the branches' kind when they agree and boxes lanes when they do not, so
+// every lane holds exactly the value the interpreter produces (an int ELSE
+// under a float THEN stays an int).
+type vnCase struct {
+	id      int
+	operand vnode // nil for the searched form
+	whens   []vnode
+	thens   []vnode
+	els     vnode // nil: unclaimed lanes are NULL
+}
+
+func (n *vnCase) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+	lanes := laneCount(ch, sel)
+	var opv *vec
+	if n.operand != nil {
+		v, err := n.operand.eval(vc, ch, sel)
+		if err != nil {
+			return nil, err
+		}
+		opv = v
+	}
+	nw := len(n.whens)
+	b := &vc.bufs[n.id]
+	// sets[0..nw-1]: lanes each WHEN claimed; sets[nw]: unclaimed lanes;
+	// sets[nw+1]: the chunk rows of the current sub-selection.
+	sets := b.laneSets(nw+2, lanes)
+	if cap(b.parts) < nw+1 {
+		b.parts = make([]*vec, nw+1)
+	}
+	parts := b.parts[:nw+1]
+	pend := sets[nw][:0]
+	for k := 0; k < lanes; k++ {
+		pend = append(pend, int32(k))
+	}
+	subSel := func(ks []int32) []int32 {
+		if len(ks) == lanes {
+			return sel
+		}
+		rows := sets[nw+1][:0]
+		for _, k := range ks {
+			if sel != nil {
+				rows = append(rows, sel[k])
+			} else {
+				rows = append(rows, k)
+			}
+		}
+		return rows
+	}
+	for w := range parts {
+		parts[w] = nil
+	}
+	for w, wn := range n.whens {
+		sets[w] = sets[w][:0]
+		if len(pend) == 0 {
+			continue
+		}
+		cv, err := wn.eval(vc, ch, subSel(pend))
+		if err != nil {
+			return nil, err
+		}
+		take, keep := sets[w][:0], pend[:0]
+		for j, k := range pend {
+			var hit bool
+			if opv != nil {
+				hit = !opv.isNull(int(k)) && !cv.isNull(j) && lanesEqual(opv, int(k), cv, j)
+			} else {
+				bv, ok, _ := laneBool(cv, j)
+				hit = ok && bv
+			}
+			if hit {
+				take = append(take, k)
+			} else {
+				keep = append(keep, k)
+			}
+		}
+		sets[w], pend = take, keep
+		if len(take) > 0 {
+			tv, err := n.thens[w].eval(vc, ch, subSel(take))
+			if err != nil {
+				return nil, err
+			}
+			parts[w] = tv
+		}
+	}
+	sets[nw] = pend
+	if n.els != nil && len(pend) > 0 {
+		ev, err := n.els.eval(vc, ch, subSel(pend))
+		if err != nil {
+			return nil, err
+		}
+		parts[nw] = ev
+	}
+
+	kind := ColType(-1)
+	for _, pv := range parts {
+		switch {
+		case pv == nil:
+		case kind == -1:
+			kind = pv.kind
+		case kind != pv.kind:
+			kind = TAny
+		}
+	}
+	if kind == -1 {
+		kind = TAny
+	}
+	ov := vc.out(n.id, kind, lanes)
+	var nulls []bool
+	setNull := func(k int32) {
+		if nulls == nil {
+			nulls = vc.nullbuf(n.id, lanes)
+		}
+		nulls[k] = true
+	}
+	for w, pv := range parts {
+		ks := sets[w]
+		if pv == nil {
+			if kind != TAny {
+				for _, k := range ks {
+					setNull(k) // unclaimed lanes of a CASE without ELSE
+				}
+			}
+			continue
+		}
+		for j, k := range ks {
+			if pv.isNull(j) {
+				if kind != TAny {
+					setNull(k)
+				}
+				continue
+			}
+			switch kind {
+			case TInt:
+				ov.ints[k] = pv.ints[j]
+			case TFloat:
+				ov.floats[k] = pv.floats[j]
+			case TString:
+				ov.strs[k] = pv.str(j)
+			case TBool:
+				ov.bools[k] = pv.bools[j]
+			default:
+				ov.anys[k] = laneValue(pv, j)
+			}
+		}
+	}
+	return ov, nil
+}
+
+// ---- generic per-lane call ----
+
+// vnCall applies a pure scalar function lane by lane over its argument
+// nodes' vectors — the shapes without a typed kernel: most scalar
+// functions, ||, CAST and date +/- INTERVAL. Only the argument lanes are
+// boxed, never the chunk's row view, and the result lanes are boxed.
+type vnCall struct {
+	id   int
+	args []vnode
+	fn   func(args []Value) (Value, error)
+}
+
+func (n *vnCall) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+	b := &vc.bufs[n.id]
+	na := len(n.args)
+	if cap(b.parts) < na {
+		b.parts = make([]*vec, na)
+		b.argv = make([]Value, na)
+	}
+	avs, argv := b.parts[:na], b.argv[:na]
+	for i, an := range n.args {
+		v, err := an.eval(vc, ch, sel)
+		if err != nil {
+			return nil, err
+		}
+		avs[i] = v
+	}
+	lanes := laneCount(ch, sel)
+	ov := vc.out(n.id, TAny, lanes)
+	for k := 0; k < lanes; k++ {
+		for i, av := range avs {
+			argv[i] = laneValue(av, k)
+		}
+		v, err := n.fn(argv)
+		if err != nil {
+			return nil, err
+		}
+		ov.anys[k] = v
+	}
+	return ov, nil
+}
+
+// concatValues is the || operator: NULL if either side is NULL.
+func concatValues(args []Value) (Value, error) {
+	if args[0] == nil || args[1] == nil {
+		return nil, nil
+	}
+	return ToStr(args[0]) + ToStr(args[1]), nil
+}
+
 // ---- lowering ----
 
 type vecCompiler struct {
@@ -1441,28 +1647,17 @@ func (c *vecCompiler) newID() int {
 	return id
 }
 
-// lower returns a vectorized node for e: a kernel when one exists, else a
-// per-lane wrapper around the pure row-compiled closure. nil means e
-// cannot run on the vectorized path at all (impure, subqueries, columns
-// that resolve only in enclosing scopes).
+// lower returns the vector node for e, or nil when e cannot run on the
+// vectorized path at all (impure functions, subqueries, aggregate or window
+// references, columns that resolve only in an enclosing scope); the caller
+// then runs the whole plan through the interpreter.
 func (c *vecCompiler) lower(e sqlparser.Expr) vnode {
-	if n := c.lowerVec(e); n != nil {
-		return n
-	}
-	fn, pure, ok := compileExpr(c.eng, c.rel, e)
-	if !ok || !pure {
-		return nil
-	}
-	return &vnScalar{id: c.newID(), fn: fn}
-}
-
-func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
 		return &vnLit{id: c.newID(), val: x.Val}
 	case *sqlparser.ColumnRef:
-		idx, err := c.rel.resolve(x.Table, x.Name)
-		if err != nil {
+		idx := c.rel.find(x.Table, x.Name)
+		if idx < 0 {
 			return nil
 		}
 		return &vnCol{id: c.newID(), col: idx}
@@ -1497,9 +1692,20 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 				}
 			}
 			return generic
+		case "||":
+			return c.call(concatValues, x.L, x.R)
 		case "+", "-", "*", "/", "%":
-			if _, isInterval := x.R.(*sqlparser.IntervalExpr); isInterval {
-				return nil // date arithmetic: scalar fallback
+			if iv, isInterval := x.R.(*sqlparser.IntervalExpr); isInterval {
+				if x.Op != "+" && x.Op != "-" {
+					return nil
+				}
+				neg := x.Op == "-"
+				return c.call(func(a []Value) (Value, error) {
+					if a[0] == nil {
+						return nil, nil
+					}
+					return shiftDate(ToStr(a[0]), iv, neg)
+				}, x.L)
 			}
 			l, r := c.lower(x.L), c.lower(x.R)
 			if l == nil || r == nil {
@@ -1575,8 +1781,13 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 			return nil
 		}
 		return &vnIsNull{id: c.newID(), x: xn, not: x.Not}
+	case *sqlparser.CastExpr:
+		typ := x.Type
+		return c.call(func(a []Value) (Value, error) { return castValue(a[0], typ) }, x.X)
+	case *sqlparser.CaseExpr:
+		return c.lowerCase(x)
 	case *sqlparser.FuncCall:
-		if x.Over != nil || sqlparser.AggregateFuncs[x.Name] || x.Star {
+		if x.Over != nil || sqlparser.AggregateFuncs[x.Name] || x.Star || impureFuncs[x.Name] {
 			return nil
 		}
 		switch x.Name {
@@ -1601,9 +1812,79 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 				return &vnYear{id: c.newID(), x: xn}
 			}
 		}
-		return nil // other scalar functions: per-lane fallback
+		eng, name := c.eng, x.Name
+		return c.call(func(a []Value) (Value, error) { return callScalar(eng, name, a) }, x.Args...)
 	}
 	return nil
+}
+
+// call lowers args and wraps them in a per-lane vnCall of fn.
+func (c *vecCompiler) call(fn func([]Value) (Value, error), args ...sqlparser.Expr) vnode {
+	nodes := make([]vnode, len(args))
+	for i, a := range args {
+		if nodes[i] = c.lower(a); nodes[i] == nil {
+			return nil
+		}
+	}
+	return &vnCall{id: c.newID(), args: nodes, fn: fn}
+}
+
+func (c *vecCompiler) lowerCase(x *sqlparser.CaseExpr) vnode {
+	n := &vnCase{whens: make([]vnode, len(x.Whens)), thens: make([]vnode, len(x.Whens))}
+	if x.Operand != nil {
+		if n.operand = c.lower(x.Operand); n.operand == nil {
+			return nil
+		}
+	}
+	for i, w := range x.Whens {
+		n.whens[i], n.thens[i] = c.lower(w.Cond), c.lower(w.Then)
+		if n.whens[i] == nil || n.thens[i] == nil {
+			return nil
+		}
+	}
+	if x.Else != nil {
+		if n.els = c.lower(x.Else); n.els == nil {
+			return nil
+		}
+	}
+	n.id = c.newID()
+	return n
+}
+
+func literalInt(e sqlparser.Expr) (int64, bool) {
+	lit, ok := e.(*sqlparser.Literal)
+	if !ok {
+		return 0, false
+	}
+	i, ok := lit.Val.(int64)
+	return i, ok
+}
+
+func cmpTest(op string) func(int) bool {
+	switch op {
+	case "=":
+		return func(c int) bool { return c == 0 }
+	case "<>":
+		return func(c int) bool { return c != 0 }
+	case "<":
+		return func(c int) bool { return c < 0 }
+	case "<=":
+		return func(c int) bool { return c <= 0 }
+	case ">":
+		return func(c int) bool { return c > 0 }
+	default: // ">="
+		return func(c int) bool { return c >= 0 }
+	}
+}
+
+func cmpFloat64(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // lowerConjuncts flattens the top-level AND conjuncts of a WHERE clause

@@ -249,3 +249,41 @@ func TestInstaParallelSerialEquivalence(t *testing.T) {
 		t.Fatal("no Insta query took the parallel path")
 	}
 }
+
+// TestWorkloadParallelInterpreterIdentical: with the kernels off, pure
+// plans still run on the kernels' chunk morsels, every chunk through the
+// interpreter, so at any parallelism the interpreter's partial sums merge
+// in the same order and every workload answer is byte-identical to the
+// vectorized one — the bar exact-answer checks against an interpreter
+// reference rely on.
+func TestWorkloadParallelInterpreterIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, ds := range []struct {
+		load    func(e *engine.Engine) error
+		queries []workload.Query
+	}{
+		{func(e *engine.Engine) error { return workload.LoadTPCH(e, 0.02, 42) }, workload.TPCHQueries},
+		{func(e *engine.Engine) error { return workload.LoadInsta(e, 0.02, 42) }, workload.InstaQueries},
+	} {
+		vecEng, rowEng := loadedPair(t, ds.load)
+		vecEng.SetParallelism(4)
+		rowEng.SetParallelism(4)
+		rowEng.SetVectorized(false)
+		for _, q := range ds.queries {
+			rsRow, err := rowEng.Query(q.SQL)
+			if err != nil {
+				t.Fatalf("%s interpreter: %v", q.ID, err)
+			}
+			rsVec, err := vecEng.Query(q.SQL)
+			if err != nil {
+				t.Fatalf("%s vectorized: %v", q.ID, err)
+			}
+			rowsIdentical(t, q.ID, rsRow, rsVec)
+		}
+		if rowEng.ParallelScans() == 0 {
+			t.Fatal("no interpreted query ran on parallel chunk morsels")
+		}
+	}
+}

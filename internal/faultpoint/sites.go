@@ -14,7 +14,9 @@ const (
 	SiteEngineQuery = "engine.query"
 	// SiteEngineScanChunk fires per chunk on the vectorized scan path.
 	SiteEngineScanChunk = "engine.scan.chunk"
-	// SiteEngineScanRows fires per morsel on the row-fallback scan path.
+	// SiteEngineScanRows fires per call of the interpreted scan's hash
+	// aggregation: once per interpreted plan, and once per chunk a vector
+	// kernel sends back to the interpreter.
 	SiteEngineScanRows = "engine.scan.rows"
 	// SiteEngineJoinBuild fires per chunk while building a join hash table.
 	SiteEngineJoinBuild = "engine.join.build"
